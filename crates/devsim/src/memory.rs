@@ -654,7 +654,10 @@ macro_rules! f64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<f64> {
-                (0..self.len()).map(|i| self.get(i)).collect()
+                self.cells[..self.len]
+                    .iter()
+                    .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
+                    .collect()
             }
 
             /// Fill every element with `v`.
@@ -700,7 +703,7 @@ macro_rules! u64_ops {
 
             /// Copy all elements out into a `Vec`.
             pub fn to_vec(&self) -> Vec<u64> {
-                (0..self.len()).map(|i| self.get(i)).collect()
+                self.cells[..self.len].iter().map(|c| c.load(Ordering::Relaxed)).collect()
             }
         }
     };

@@ -25,7 +25,7 @@ use sensei::{Error, Result};
 
 use crate::body::BodySet;
 use crate::domain::Domain;
-use crate::forces::Gravity;
+use crate::forces::{self, Gravity};
 use crate::ic::{self, DiskIc, UniformIc};
 use crate::repartition::repartition;
 
@@ -252,23 +252,19 @@ impl Newton {
     /// charged to the host executor; the O(n_local × n_global) force
     /// evaluation runs as a device kernel.
     fn compute_forces(&mut self, comm: &Comm) -> Result<()> {
-        // Download local (x, y, z, m), bundled into one message.
+        // Download local (x, y, z, m) into four host buffers with one
+        // synchronize, then bundle them into one message.
         let n = self.n_local;
-        let staging = self.node.host_alloc_f64(n * 4);
-        // Pack on device into the staging layout via four ordered copies.
-        let pack = self.node.host_alloc_f64(n);
-        let mut bundle = vec![0.0f64; 4 * n];
-        for (k, buf) in
-            [&self.state.x, &self.state.y, &self.state.z, &self.state.m].into_iter().enumerate()
-        {
-            self.stream.copy(buf, &pack).map_err(Error::Device)?;
-            self.stream.synchronize().map_err(Error::Device)?;
-            let v = pack.host_f64_ro().map_err(Error::Device)?;
-            for i in 0..n {
-                bundle[k * n + i] = v.get(i);
-            }
+        let packs = [&self.state.x, &self.state.y, &self.state.z, &self.state.m]
+            .map(|buf| (buf, self.node.host_alloc_f64(n)));
+        for (buf, pack) in &packs {
+            self.stream.copy(buf, pack).map_err(Error::Device)?;
         }
-        drop(staging);
+        self.stream.synchronize().map_err(Error::Device)?;
+        let mut bundle = Vec::with_capacity(4 * n);
+        for (_, pack) in &packs {
+            bundle.extend(pack.host_f64_ro().map_err(Error::Device)?.to_vec());
+        }
 
         // Allgather across ranks; charged as host work (this is the
         // MPI/staging phase of the solver that competes with host-placed
@@ -327,37 +323,23 @@ impl Newton {
         };
         self.stream
             .launch("nbody_forces", cost, move |scope| {
-                let (x, y, z) =
-                    (x.f64_view_ro(scope)?, y.f64_view_ro(scope)?, z.f64_view_ro(scope)?);
-                let (ax, ay, az) = (ax.f64_view(scope)?, ay.f64_view(scope)?, az.f64_view(scope)?);
-                let (sx, sy, sz, sm) = (
-                    dgx.f64_view_ro(scope)?,
-                    dgy.f64_view_ro(scope)?,
-                    dgz.f64_view_ro(scope)?,
-                    dgm.f64_view_ro(scope)?,
+                // Read every view once into plain slices; the blocked
+                // kernel then runs on those without per-element atomics.
+                let read =
+                    |buf: &CellBuffer| Ok::<_, devsim::Error>(buf.f64_view_ro(scope)?.to_vec());
+                let (tx, ty, tz) = (read(&x)?, read(&y)?, read(&z)?);
+                let (sx, sy, sz, sm) = (read(&dgx)?, read(&dgy)?, read(&dgz)?, read(&dgm)?);
+                let n = tx.len();
+                let (mut oax, mut oay, mut oaz) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+                forces::accelerations_blocked(
+                    [&tx, &ty, &tz],
+                    [&sx, &sy, &sz, &sm],
+                    &grav,
+                    [&mut oax, &mut oay, &mut oaz],
                 );
-                for i in 0..x.len() {
-                    let (xi, yi, zi) = (x.get(i), y.get(i), z.get(i));
-                    let (mut axx, mut ayy, mut azz) = (0.0, 0.0, 0.0);
-                    for j in 0..sx.len() {
-                        let a = crate::forces::pair_accel(
-                            xi,
-                            yi,
-                            zi,
-                            sx.get(j),
-                            sy.get(j),
-                            sz.get(j),
-                            sm.get(j),
-                            &grav,
-                        );
-                        axx += a[0];
-                        ayy += a[1];
-                        azz += a[2];
-                    }
-                    ax.set(i, axx);
-                    ay.set(i, ayy);
-                    az.set(i, azz);
-                }
+                ax.f64_view(scope)?.copy_from_slice(&oax);
+                ay.f64_view(scope)?.copy_from_slice(&oay);
+                az.f64_view(scope)?.copy_from_slice(&oaz);
                 Ok(())
             })
             .map_err(Error::Device)
